@@ -141,23 +141,14 @@ def micro_collecting_run():
 
 
 def micro_forward_phase():
-    """End-to-end forward runs over the smoke suite, timed under both
-    engines.
+    """End-to-end forward runs over the smoke suite.
 
     Each workload's escape, typestate and provenance clients analyse
     the program under the bottom abstraction, three singletons and the
-    full universe — the path the compiled bitset kernel accelerates.
-    Each engine gets one untimed warm-up pass first, so the compiled
-    number measures steady-state execution (compilation is a one-time
-    cost amortised by the per-command cache), matching how the TRACER
-    loop reruns the forward phase hundreds of times per query.
-
-    Returns a dict with median and min seconds per engine plus the
-    ``speedup`` ratio of the mins.  The medians are what the trend
-    gate tracks; the speedup uses the mins because the fastest repeat
-    is the least-noisy estimate of each kernel's true cost (the same
-    reasoning as ``timeit``'s), and a ratio of two medians taken on a
-    jittery single-CPU box swings by double-digit percents.
+    full universe.  One untimed warm-up pass first builds the dispatch
+    tables, so the number measures steady-state execution, matching
+    how the TRACER loop reruns the forward phase hundreds of times per
+    query.  Returns the median of nine timed passes.
     """
     from repro.bench.harness import escape_setup, prepare, typestate_setup
     from repro.lang.universe import collect_universe
@@ -190,46 +181,8 @@ def micro_forward_phase():
             for p in abstractions:
                 client.run_forward(p)
 
-    import gc
-
-    def set_engine(engine):
-        for client, _abstractions in runs:
-            client.use_engine(engine)
-
-    for engine in ("interpreted", "compiled"):
-        set_engine(engine)
-        kernel()  # warm-up: build dispatch tables / compile kernels
-
-    # The two engines are timed *interleaved*, one repeat of each per
-    # round, so a slow scheduler slice inflates both sides instead of
-    # skewing the ratio.  Cycle collection is paused as in
-    # :func:`_time_kernel`.
-    interp_times, compiled_times = [], []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _round in range(9):
-            set_engine("interpreted")
-            started = time.perf_counter()
-            kernel()
-            interp_times.append(time.perf_counter() - started)
-            set_engine("compiled")
-            started = time.perf_counter()
-            kernel()
-            compiled_times.append(time.perf_counter() - started)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    set_engine("interpreted")
-    interp_times.sort()
-    compiled_times.sort()
-    return {
-        "interpreted_seconds": interp_times[len(interp_times) // 2],
-        "compiled_seconds": compiled_times[len(compiled_times) // 2],
-        "interpreted_min_seconds": interp_times[0],
-        "compiled_min_seconds": compiled_times[0],
-        "speedup": interp_times[0] / compiled_times[0],
-    }
+    kernel()  # warm-up: build dispatch tables
+    return _time_kernel(kernel, repeats=9)
 
 
 # -- scaled-down evaluation ---------------------------------------------------
@@ -631,7 +584,6 @@ def main(argv=None):
         "BENCH_smoke.json",
     )
     started = time.perf_counter()
-    forward = micro_forward_phase()
     report = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
@@ -640,12 +592,7 @@ def main(argv=None):
             "dnf_simplify": round(micro_dnf_simplify(), 6),
             "mincost_sat": round(micro_mincost_sat(), 6),
             "collecting_run": round(micro_collecting_run(), 6),
-            "forward_phase": round(forward["interpreted_seconds"], 6),
-            "forward_phase_compiled": round(forward["compiled_seconds"], 6),
-        },
-        "forward_engine": {
-            key: round(value, 6 if key != "speedup" else 2)
-            for key, value in forward.items()
+            "forward_phase": round(micro_forward_phase(), 6),
         },
         "evaluation": smoke_evaluation(),
         "scheduler": scheduler_bench(),

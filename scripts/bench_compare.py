@@ -11,20 +11,6 @@ semantics is behaviour-preserving::
     ... refactor ...
     PYTHONPATH=src python scripts/bench_compare.py /tmp/after.json
     diff /tmp/before.json /tmp/after.json
-
-A second mode compares forward *engines* instead of revisions: with
-``--engines interpreted,compiled`` the same workloads (all three
-clients per benchmark, certificates on) are evaluated once per engine
-within this process, and every per-query verdict, iteration count,
-annotation digest, and certificate must be bit-identical across
-engines — the cross-engine equivalence gate of the compiled bitset
-kernel::
-
-    PYTHONPATH=src python scripts/bench_compare.py \\
-        --engines interpreted,compiled --benchmarks smoke
-
-``--benchmarks all`` extends the sweep to the full seven-benchmark
-paper suite (slower; the CI job runs the smoke scope).
 """
 
 from __future__ import annotations
@@ -49,8 +35,6 @@ from tests.randprog import (
     random_escape_program,
     random_typestate_program,
 )
-
-from repro.bench.suite import BENCHMARK_NAMES
 
 BENCHMARKS = ("tsp", "elevator", "hedc")
 ANALYSES = ("typestate", "escape")
@@ -116,132 +100,13 @@ def random_results(cache_size):
     return out
 
 
-def provenance_setup(bench):
-    """A deterministic provenance workload for one suite benchmark:
-    first observe labels x first variables, allowed = half the sites."""
-    from repro.lang.universe import collect_universe
-
-    universe = collect_universe(bench.inlined.program)
-    client = ProvenanceClient(
-        bench.inlined.program,
-        PtSchema(universe.variables),
-        universe.sites,
-    )
-    labels = sorted(client.cfg.observe_edges())[:2]
-    variables = sorted(universe.variables)[:2]
-    sites = sorted(universe.sites)
-    allowed = frozenset(sites[: max(1, len(sites) // 2)])
-    queries = [
-        ProvenanceQuery(label, var, allowed)
-        for label in labels
-        for var in variables
-    ]
-    return client, queries
-
-
-def engine_dump(engine, benchmarks):
-    """Verdicts, digests, and certificates of every workload under one
-    forward engine — the unit of the cross-engine identity check."""
-    from repro.bench.parallel import RunOptions
-    from repro.robust.certify import CertificateStore
-
-    config = TracerConfig(k=5, max_iterations=30, engine=engine)
-    out = {}
-    for name in benchmarks:
-        bench = prepare(name)
-        for analysis in ANALYSES:
-            result = evaluate_benchmark(
-                bench, analysis, config, options=RunOptions(certify=True)
-            )
-            out[f"{name}/{analysis}"] = {
-                "records": [_record(r) for r in result.records],
-                "certificates": result.certificates,
-            }
-        client, queries = provenance_setup(bench)
-        store = CertificateStore()
-        solved = Tracer(client, config, certificates=store).solve_all(queries)
-        out[f"{name}/provenance"] = {
-            "records": [_record(solved[q]) for q in queries],
-            "certificates": store.certificates,
-        }
-    return out
-
-
-def _first_divergence(path, a, b):
-    """Drill down to one differing leaf for a readable mismatch report."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            if a.get(key) != b.get(key):
-                return _first_divergence(f"{path}.{key}", a.get(key), b.get(key))
-    if isinstance(a, list) and isinstance(b, list):
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return _first_divergence(f"{path}[{i}]", x, y)
-        if len(a) != len(b):
-            return f"{path}: length {len(a)} vs {len(b)}", None, None
-    return path, a, b
-
-
-def compare_engines(engines, benchmarks):
-    """Evaluate every workload once per engine and require the results
-    to be bit-identical.  Returns the number of mismatching workloads."""
-    dumps = {}
-    for engine in engines:
-        # Round-trip through JSON so the comparison sees exactly what a
-        # serialized dump would contain (tuples become lists, etc.).
-        dumps[engine] = json.loads(
-            json.dumps(engine_dump(engine, benchmarks), sort_keys=True)
-        )
-    reference = engines[0]
-    mismatches = 0
-    for other in engines[1:]:
-        for key in sorted(dumps[reference]):
-            if dumps[reference][key] == dumps[other][key]:
-                continue
-            mismatches += 1
-            path, a, b = _first_divergence(
-                key, dumps[reference][key], dumps[other][key]
-            )
-            print(f"MISMATCH {reference} vs {other} at {path}:")
-            print(f"  {reference}: {a!r}")
-            print(f"  {other}: {b!r}")
-    workloads = len(dumps[reference])
-    queries = sum(len(v["records"]) for v in dumps[reference].values())
-    if mismatches == 0:
-        print(
-            f"engines {', '.join(engines)} bit-identical on "
-            f"{workloads} workloads ({queries} queries, "
-            f"verdicts + digests + certificates)"
-        )
-    return mismatches
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "out", nargs="?", default="bench_compare.json",
-        help="output JSON path (dump mode)",
-    )
-    parser.add_argument(
-        "--engines",
-        help="comma-separated forward engines to cross-check "
-        "(e.g. interpreted,compiled); switches to identity-compare mode",
-    )
-    parser.add_argument(
-        "--benchmarks",
-        choices=("smoke", "all"),
-        default="smoke",
-        help="suite scope for --engines mode (default smoke)",
+        help="output JSON path",
     )
     args = parser.parse_args(argv)
-
-    if args.engines:
-        engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-        if len(engines) < 2:
-            parser.error("--engines needs at least two engines")
-        names = BENCHMARKS if args.benchmarks == "smoke" else BENCHMARK_NAMES
-        mismatches = compare_engines(engines, names)
-        return 1 if mismatches else 0
 
     dump = {
         "suite_cache_on": suite_results(64),

@@ -16,7 +16,7 @@ run warn-only for a couple of PRs to accumulate history (and observe
 the noise floor of the CI machines) before flipping the gate on.
 
 The history file is JSONL so CI can append without rewriting: each
-line is self-contained ``{timestamp, python, micro_seconds, speedup,
+line is self-contained ``{timestamp, python, micro_seconds,
 evaluation}``.  The comparison is entry-vs-previous-entry, not
 entry-vs-best-ever, so a slow machine day shifts the baseline instead
 of permanently failing every later run.
@@ -49,7 +49,6 @@ def history_entry(report: dict) -> dict:
         "timestamp": report.get("timestamp"),
         "python": report.get("python"),
         "micro_seconds": report.get("micro_seconds", {}),
-        "forward_speedup": report.get("forward_engine", {}).get("speedup"),
         "serial_seconds": evaluation.get("serial_seconds"),
         "parallel_seconds_jobs2": evaluation.get("parallel_seconds_jobs2"),
     }
@@ -166,8 +165,6 @@ def main(argv=None):
     )
     for kernel, seconds in sorted((entry.get("micro_seconds") or {}).items()):
         print(f"  {kernel:<24} {seconds * 1000:9.3f} ms")
-    if entry.get("forward_speedup") is not None:
-        print(f"  {'forward speedup':<24} {entry['forward_speedup']:9.2f} x")
     serve = entry.get("serve_warm") or {}
     if serve.get("warm_seconds") is not None:
         print(

@@ -106,8 +106,8 @@ def one_shot_verdicts(analysis: str):
     from repro.core.tracer import TracerConfig
 
     # Mirror the daemon's request config: `repro serve` defaults plus
-    # the --max-iterations passed above (strict and engine are the
-    # TracerConfig defaults on both sides).
+    # the --max-iterations passed above (strict is the TracerConfig
+    # default on both sides).
     config = TracerConfig(k=5, max_iterations=MAX_ITERATIONS)
     verdicts = {}
     for name in BENCHMARK_NAMES:

@@ -283,6 +283,9 @@ class Theory:
         cache = getattr(self, "_normalize_cache", None)
         if cache is None:
             cache = self._normalize_cache = LruCache(self.NORMALIZE_CACHE_SIZE)
+            obs_metrics.register_cache(
+                f"normalize_memo.{type(self).__name__}", cache
+            )
         result = cache.get(literals, _CACHE_MISS)
         if result is _CACHE_MISS:
             result = self.normalize_cube(literals)
@@ -348,6 +351,9 @@ class ExclusiveValueTheory(Theory):
         cache = getattr(self, "_group_cache", None)
         if cache is None:
             cache = self._group_cache = LruCache(self.GROUP_CACHE_SIZE)
+            obs_metrics.register_cache(
+                f"group_memo.{type(self).__name__}", cache
+            )
         result = cache.get(prim, _CACHE_MISS)
         if result is _CACHE_MISS:
             result = self.group_of(prim)

@@ -750,8 +750,7 @@ class CompiledCommand:
         table: its *parameter footprint* — the truth values of the
         parameter primitives the table consults — when known, else
         ``p`` itself.  Abstractions sharing a footprint share one
-        specialised step; the compiled bitset kernel keys its
-        per-command functions on the same value."""
+        specialised step."""
         prims = self._param_prims
         if prims is None:
             return p

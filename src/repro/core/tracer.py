@@ -103,52 +103,6 @@ class TracerClient:
         exposing ``states_before_observe(label)`` and ``trace_to``."""
         raise NotImplementedError
 
-    def _kernel_codec(self):
-        """The bitset :class:`~repro.dataflow.bitset.StateCodec` for the
-        compiled forward kernel, or ``None`` when the client has no
-        bitset encoding (``use_engine("compiled")`` then stays on the
-        interpreted engine).  Clients with finite state universes
-        override this; see :mod:`repro.core.kernel`."""
-        return None
-
-    def use_engine(self, mode: str) -> str:
-        """Select the forward engine: ``"interpreted"`` (the client's
-        own engine, the default) or ``"compiled"`` (the bitset kernel
-        of :mod:`repro.core.kernel` wrapping it).
-
-        Returns the mode actually in effect — a client without a
-        kernel codec, or whose engine is not the intraprocedural
-        collecting engine, silently stays interpreted (the two engines
-        are bit-identical, so this is a pure performance decision).
-        The kernel engine instance is memoized on the client, keeping
-        its compiled-step caches warm across switches."""
-        if mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown engine: {mode!r}")
-        base = getattr(self, "_base_engine", None)
-        if base is None:
-            base = getattr(self, "engine", None)
-            if base is None:
-                return "interpreted"
-            self._base_engine = base
-        if mode == "compiled":
-            kernel = getattr(self, "_kernel_engine", None)
-            if kernel is None:
-                codec = self._kernel_codec()
-                if codec is None or getattr(base, "cfg", None) is None:
-                    kernel = False
-                else:
-                    from repro.core.kernel import KernelEngine
-
-                    kernel = KernelEngine(
-                        base, codec, self.analysis.semantics
-                    )
-                self._kernel_engine = kernel
-            if kernel:
-                self.engine = kernel
-                return "compiled"
-        self.engine = base
-        return "interpreted"
-
     def cache_key(self) -> Hashable:
         """A key identifying this client's forward semantics in a
         :class:`ForwardRunCache`.
@@ -302,10 +256,6 @@ class TracerConfig:
     k_min: int = 1
     strict: bool = True
     budget_check_every: int = 64
-    #: Forward engine: ``"interpreted"`` runs the client's own engine;
-    #: ``"compiled"`` selects the bitset kernel (bit-identical results;
-    #: clients without kernel support silently stay interpreted).
-    engine: str = "interpreted"
 
 
 class ProgressError(RuntimeError):
@@ -538,9 +488,6 @@ def run_query_group(
     theory = client.meta.theory
     if not isinstance(theory, ParamTheory):
         raise TypeError("the meta-analysis theory must be a ParamTheory")
-    select_engine = getattr(client, "use_engine", None)
-    if select_engine is not None:
-        select_engine(config.engine)
     if forward_cache is None and config.forward_cache_size:
         forward_cache = ForwardRunCache(config.forward_cache_size)
     if forward_cache is not None and not _cache_aware(client):

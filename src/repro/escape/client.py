@@ -18,7 +18,6 @@ from repro.core.tracer import TracerClient
 from repro.dataflow.engines import ForwardResult, engine_for
 from repro.escape.analysis import EscapeAnalysis
 from repro.escape.domain import ESC, LOC, NIL, EscSchema
-from repro.escape.kernel import EscapeCodec
 from repro.escape.meta import EscapeMeta, FieldIs, SiteIs, VarIs
 from repro.lang.ast import Program
 from repro.lang.cfg import Cfg, build_cfg
@@ -67,11 +66,6 @@ class EscapeClient(TracerClient):
             self.analysis.semantics.bound_step(p),
             self.analysis.initial_state(),
         )
-
-    def _kernel_codec(self):
-        """Bitset layout for ``use_engine("compiled")``: one one-hot
-        L/E/N group per schema name."""
-        return EscapeCodec(self.schema)
 
     def selfcheck_space(self):
         """Primitives and ``(p, d)`` samples for ``repro selfcheck``;

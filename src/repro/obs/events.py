@@ -126,8 +126,6 @@ KNOWN_EVENT_NAMES = frozenset({
     "certificate_emitted",
     "certificate_checked",
     "journal_replayed",
-    # the compiled forward engine (docs/PERFORMANCE.md)
-    "kernel_exec",
     # the serving layer (docs/SERVING.md)
     "session_opened",
     "warm_start",

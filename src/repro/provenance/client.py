@@ -24,7 +24,6 @@ from repro.lang.ast import Program
 from repro.lang.cfg import Cfg, build_cfg
 from repro.provenance.analysis import ProvenanceAnalysis
 from repro.provenance.domain import PT_TOP, PtSchema
-from repro.provenance.kernel import ProvenanceCodec
 from repro.provenance.meta import ProvenanceMeta, PtHas, PtParam, PtTop
 
 
@@ -69,11 +68,6 @@ class ProvenanceClient(TracerClient):
             self.analysis.semantics.bound_step(p),
             self.analysis.initial_state(),
         )
-
-    def _kernel_codec(self):
-        """Bitset layout for ``use_engine("compiled")``: per variable,
-        a top bit plus one bit per tracked allocation site."""
-        return ProvenanceCodec(self.schema, self.analysis.sites)
 
     def selfcheck_space(self):
         """Primitives and ``(p, d)`` samples for ``repro selfcheck``;

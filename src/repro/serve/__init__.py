@@ -4,8 +4,7 @@ store, and a JSON-over-socket batch server.
 * :mod:`repro.serve.session` — :class:`AnalysisSession`, the resident
   execution layer the CLI, the bench harness, and the server all share:
   prepared programs, client setups, the shared
-  :class:`~repro.core.tracer.ForwardRunCache` (and with it the compiled
-  kernel programs memoized on each client), and the warm-start logic
+  :class:`~repro.core.tracer.ForwardRunCache`, and the warm-start logic
   that seeds new searches from the store.
 * :mod:`repro.serve.store` — :class:`KnowledgeStore`, the on-disk
   crash-safe store keyed by program digest that persists learned

@@ -34,6 +34,7 @@ bad request or an expired deadline is not.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from repro.core.stats import QueryStatus
@@ -68,24 +69,47 @@ def _tightest(request_value, ceiling):
     return min(request_value, ceiling)
 
 
+def _check_override(name: str, value) -> None:
+    """Reject an override value of the wrong type or range.  The values
+    come straight from the client's JSON, where ``true`` is an int to
+    Python and ``NaN`` parses as a float that every ``min`` against a
+    ceiling returns unchanged, so each is checked explicitly."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name == "max_seconds":
+        ok = number and math.isfinite(value) and value > 0
+        expected = "a finite number > 0"
+    else:
+        ok = number and isinstance(value, int) and value >= 1
+        expected = "an integer >= 1"
+    if not ok:
+        raise ValueError(
+            f"config override {name!r} must be {expected}, got {value!r}"
+        )
+
+
 def request_config(base: TracerConfig, request: dict) -> TracerConfig:
     """The effective config of one request: overrides may tighten the
-    server's budget ceilings, never exceed them; ``strict`` and
-    ``engine`` are server policy and cannot be overridden."""
+    server's budget ceilings, never exceed them; ``strict`` is server
+    policy and cannot be overridden.  Raises ``ValueError`` (a
+    ``bad_request`` reply) for an unknown override or a value of the
+    wrong type or range."""
     overrides = request.get("config") or {}
+    if not isinstance(overrides, dict):
+        raise ValueError("'config' must be a JSON object")
     unknown = set(overrides) - set(CONFIG_OVERRIDES)
     if unknown:
         raise ValueError(
             f"unknown config overrides {sorted(unknown)} "
             f"(allowed: {list(CONFIG_OVERRIDES)})"
         )
+    for name, value in overrides.items():
+        _check_override(name, value)
     return TracerConfig(
         k=overrides.get("k", base.k),
         max_iterations=overrides.get("max_iterations", base.max_iterations),
         max_seconds=_tightest(overrides.get("max_seconds"), base.max_seconds),
         max_steps=_tightest(overrides.get("max_steps"), base.max_steps),
         strict=base.strict,
-        engine=base.engine,
     )
 
 

@@ -2,8 +2,8 @@
 
 One :class:`AnalysisSession` owns everything that used to die with the
 process: prepared benchmark programs (the front-end pipeline is run
-once per name), built client setups (and with them the compiled kernel
-programs memoized on each client), one shared
+once per name), built client setups (and with them the compiled
+dispatch tables memoized on each client), one shared
 :class:`~repro.core.tracer.ForwardRunCache`, and — when a
 :class:`~repro.serve.store.KnowledgeStore` is attached — the
 warm-start logic that seeds every new search from prior knowledge.
@@ -230,7 +230,7 @@ class AnalysisSession:
 
     def client_setups(self, bench, analysis: str) -> list:
         """The ``(client, queries)`` setups of one analysis, resident
-        for standard benchmarks so compiled kernels, wp memos, and
+        for standard benchmarks so compiled dispatch, wp memos, and
         cache keys survive across requests."""
         from repro.bench.harness import analysis_setups
 

@@ -130,9 +130,7 @@ def program_digest(program, client_info: dict) -> str:
 
 def config_key(config) -> Tuple:
     """The part of a :class:`~repro.core.tracer.TracerConfig` that a
-    recorded search depends on.  ``engine`` is deliberately excluded:
-    the interpreted and compiled engines are bit-identical (gated in
-    CI), so knowledge recorded under one replays under the other."""
+    recorded search depends on."""
     return (
         config.k,
         config.k_min,

@@ -25,7 +25,6 @@ from repro.lang.cfg import Cfg, build_cfg
 from repro.typestate.analysis import MayPoint, TypestateAnalysis
 from repro.typestate.automaton import TypestateAutomaton
 from repro.typestate.domain import TOP, TsState
-from repro.typestate.kernel import TypestateCodec
 from repro.typestate.meta import ERR, TsParam, TsType, TsVar, TypestateMeta
 
 
@@ -81,14 +80,6 @@ class TypestateClient(TracerClient):
         return self.engine.run(
             self.analysis.semantics.bound_step(p),
             self.analysis.initial_state(),
-        )
-
-    def _kernel_codec(self):
-        """Bitset layout for ``use_engine("compiled")``: the error
-        flag, automaton-state bits, and one must-alias bit per
-        parameter-universe variable."""
-        return TypestateCodec(
-            self.analysis.automaton, self.analysis.param_space.universe
         )
 
     def selfcheck_space(self):

@@ -48,7 +48,8 @@ class TsState:
         # Canonical (sorted) — the dataclass default interpolates raw
         # frozensets, whose iteration order depends on insertion
         # history, and ``states_at`` sorts states by repr: equal states
-        # must repr identically no matter which engine built them.
+        # must repr identically however their sets were built, or the
+        # observe order would depend on the hash seed.
         return f"TsState{self}"
 
 

@@ -105,6 +105,23 @@ class TestRealCachesRegister:
             cache.misses += 1  # simulate one cold fetch
             assert registry.counters("forward_run").misses == 1
 
+    def test_backward_memos_report_hits_after_an_escape_solve(self):
+        from repro.core.tracer import Tracer, TracerConfig
+        from repro.escape import EscSchema, EscapeClient, EscapeQuery
+        from repro.lang import parse_program
+
+        program = parse_program(
+            "u = new h1\nv = new h2\nv.f = u\nobserve pc\n"
+        )
+        with scoped_registry() as registry:
+            client = EscapeClient(
+                program, EscSchema(["u", "v"], ["f"]), frozenset({"h1", "h2"})
+            )
+            Tracer(client, TracerConfig(k=None)).solve(EscapeQuery("pc", "u"))
+            snapshot = registry.snapshot()
+        assert snapshot["normalize_memo.EscapeTheory"].hits > 0
+        assert snapshot["group_memo.EscapeTheory"].hits > 0
+
 
 class TestCounter:
     def test_unlabeled(self):

@@ -2,6 +2,7 @@
 solve kinds, budget clamping, error envelopes) plus one socket
 round-trip through the real asyncio server and ServeClient."""
 
+import json
 import threading
 
 import pytest
@@ -175,15 +176,45 @@ class TestBudgets:
         assert reply["ok"] is False
         assert "unknown config overrides" in reply["error"]
 
-    def test_overrides_preserve_server_strictness_and_engine(self, tmp_path):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            json.loads('{"max_seconds": NaN}'),
+            json.loads('{"max_steps": NaN}'),
+            json.loads('{"max_seconds": Infinity}'),
+            {"max_seconds": "10"},
+            {"max_seconds": 0},
+            {"k": "3"},
+            {"k": True},
+            {"k": 0},
+            {"k": None},
+            {"max_iterations": -1},
+            {"max_iterations": 2.5},
+            {"max_steps": 0},
+            5,
+        ],
+        ids=repr,
+    )
+    def test_malformed_override_is_a_bad_request(self, server, overrides):
+        reply = server.handle_request({
+            "op": "solve",
+            "kind": "typestate",
+            "program": TYPESTATE_TEXT,
+            "query": "check1",
+            "config": overrides,
+        })
+        assert reply["ok"] is False
+        assert reply["code"] == "bad_request", reply
+        assert server.handle_request({"op": "stats"})["session"]["solves"] == 0
+
+    def test_overrides_preserve_server_strictness(self, tmp_path):
         server = AnalysisServer(
             str(tmp_path / "s.sock"),
-            config=TracerConfig(strict=False, engine="compiled"),
+            config=TracerConfig(strict=False),
         )
         config = server._request_config({"config": {"k": 3}})
         assert config.k == 3
         assert config.strict is False
-        assert config.engine == "compiled"
 
 
 class TestSocketRoundTrip:

@@ -74,12 +74,9 @@ class TestDigest:
         assert graph_text.startswith("main main")
         assert graph_text.count("proc ") == 2
 
-    def test_config_key_excludes_engine(self):
+    def test_config_key_depends_on_beam_width(self):
         from repro.core.tracer import TracerConfig
 
-        interpreted = TracerConfig(k=5, engine="interpreted")
-        compiled = TracerConfig(k=5, engine="compiled")
-        assert config_key(interpreted) == config_key(compiled)
         assert config_key(TracerConfig(k=3)) != config_key(TracerConfig(k=5))
 
 

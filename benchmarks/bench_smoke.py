@@ -54,7 +54,10 @@ def _time_kernel(kernel, repeats=5):
 # -- micro kernels (self-contained versions of bench_micro's hot paths) -------
 
 
-def micro_dnf_simplify():
+def micro_dnf_simplify_cold():
+    """DNF conversion plus ``simplify`` on 20 random formulas, each
+    repeat with a fresh theory: its cube codec starts empty, so the
+    median times real conversion work rather than memo hits."""
     from repro.core.formula import Primitive, Theory, conj, disj, lit, nlit, simplify, to_dnf
 
     @dataclass(frozen=True)
@@ -68,7 +71,6 @@ def micro_dnf_simplify():
         def is_param(self, prim):
             return False
 
-    theory = AtomTheory()
     rng = random.Random(7)
     atoms = [lit(Atom(f"s{i}")) for i in range(8)] + [
         nlit(Atom(f"s{i}")) for i in range(8)
@@ -79,6 +81,7 @@ def micro_dnf_simplify():
     ]
 
     def kernel():
+        theory = AtomTheory()
         return [simplify(to_dnf(f, theory), theory) for f in formulas]
 
     return _time_kernel(kernel)
@@ -340,6 +343,54 @@ def scheduler_bench():
     }
 
 
+def avrora_escape():
+    """One full ``avrora``/thread-escape unit, the workload the backward
+    meta-analysis dominates.
+
+    Records the unit's in-process CPU seconds next to deterministic
+    counts — statuses, resolved queries, TRACER iterations, total
+    abstraction cost, and the backward pass's calls, trace commands and
+    beam prunes — so a CPU change can be told apart from a change in
+    the work done.
+    """
+    from collections import Counter
+
+    import repro.core.tracer as tracer_module
+    from repro.bench.harness import DEFAULT_CONFIG, evaluate_benchmark, prepare
+
+    bench = prepare("avrora")
+    counts = {"backward_calls": 0, "trace_cmds": 0, "beam_prunes": 0}
+    original = tracer_module.backward_trace
+
+    def counted(meta, analysis, trace, *args, **kwargs):
+        result = original(meta, analysis, trace, *args, **kwargs)
+        counts["backward_calls"] += 1
+        counts["trace_cmds"] += len(trace)
+        counts["beam_prunes"] += result.beam_prunes
+        return result
+
+    tracer_module.backward_trace = counted
+    try:
+        started = time.process_time()
+        result = evaluate_benchmark(bench, "escape", DEFAULT_CONFIG)
+        cpu_seconds = time.process_time() - started
+    finally:
+        tracer_module.backward_trace = original
+    records = result.records
+    statuses = Counter(r.status.value for r in records)
+    return {
+        "cpu_seconds": round(cpu_seconds, 3),
+        "queries": len(records),
+        "resolved": statuses["proven"] + statuses["impossible"],
+        "statuses": dict(sorted(statuses.items())),
+        "iterations": sum(r.iterations for r in records),
+        "abstraction_cost": sum(
+            len(r.abstraction) for r in records if r.abstraction is not None
+        ),
+        **counts,
+    }
+
+
 def serve_warm():
     """Warm-vs-cold serving through the resident session + knowledge
     store (docs/SERVING.md).
@@ -589,12 +640,13 @@ def main(argv=None):
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "micro_seconds": {
-            "dnf_simplify": round(micro_dnf_simplify(), 6),
+            "dnf_simplify_cold": round(micro_dnf_simplify_cold(), 6),
             "mincost_sat": round(micro_mincost_sat(), 6),
             "collecting_run": round(micro_collecting_run(), 6),
             "forward_phase": round(micro_forward_phase(), 6),
         },
         "evaluation": smoke_evaluation(),
+        "avrora_escape": avrora_escape(),
         "scheduler": scheduler_bench(),
         "serve_warm": serve_warm(),
         "serve_burst": serve_burst(),

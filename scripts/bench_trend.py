@@ -69,6 +69,18 @@ def history_entry(report: dict) -> dict:
             "client_retries": burst.get("client_retries"),
             "queue_p95": burst.get("queue_wait", {}).get("p95"),
         }
+    avrora = report.get("avrora_escape", {})
+    if avrora:
+        entry["avrora_escape"] = {
+            key: avrora.get(key)
+            for key in (
+                "cpu_seconds",
+                "resolved",
+                "iterations",
+                "trace_cmds",
+                "beam_prunes",
+            )
+        }
     scheduler = report.get("scheduler", {})
     if scheduler:
         entry["scheduler"] = {

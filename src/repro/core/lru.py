@@ -1,7 +1,7 @@
 """A small bounded LRU mapping shared by the hot memoisation caches.
 
-The meta-analysis and formula machinery memoise aggressively (cube
-normalisation, primitive grouping, wp lookups, forward fixpoints).
+The TRACER driver and the backward meta-analysis memoise expensive
+pure work (forward fixpoints, weakest preconditions).
 Before this helper existed each cache either grew without bound or
 dropped its *entire* working set when it crossed a size threshold —
 a hot loop straddling the threshold would then rebuild 500k entries

@@ -26,20 +26,22 @@ under-approximation" mode of Figure 6(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core import formula as _formula
 from repro.core.formula import (
+    And,
     Dnf,
     Formula,
     Lit,
     Literal,
+    Or,
     Theory,
-    drop_k,
+    drop_k_masks,
     evaluate,
-    evaluate_cube,
+    neg,
     simplify,
     to_dnf,
-    wp_substitute,
 )
 from repro.core.lru import LruCache
 from repro.core.parametric import ParametricAnalysis
@@ -47,13 +49,25 @@ from repro.lang.ast import AtomicCommand, Trace
 from repro.obs import metrics as obs_metrics
 from repro.robust import budget as robust_budget
 
-_WP_MISS = object()
-
 
 def _wp_counters(meta: "BackwardMetaAnalysis"):
     from repro.core.stats import CacheCounters
 
     return CacheCounters(hits=meta.wp_hits, misses=meta.wp_misses)
+
+
+class _CommandWp:
+    """One command's slice of the wp memo."""
+
+    __slots__ = ("known", "moving", "dnfs")
+
+    def __init__(self):
+        #: Atom bits of the primitives whose wp has been derived, and of
+        #: those among them the command does not leave unchanged.
+        self.known = 0
+        self.moving = 0
+        #: Literal id -> the DNF of the literal's weakest precondition.
+        self.dnfs: Dict[int, Dnf] = {}
 
 
 class BackwardMetaAnalysis:
@@ -69,12 +83,16 @@ class BackwardMetaAnalysis:
         """
         raise NotImplementedError
 
-    #: Bound on the wp memo; eviction is LRU, one entry at a time.
-    WP_CACHE_SIZE = 200_000
+    #: Bound on the wp memo, in commands; eviction is LRU, one command
+    #: (with every literal's wp under it) at a time.
+    WP_CACHE_SIZE = 50_000
 
     #: Memo counters, surfaced in the evaluation's cache statistics
     #: through the metrics registry (registered on first memo use
-    #: under ``"wp_memo.<metrics_name>"``).
+    #: under ``"wp_memo.<metrics_name>"``).  One miss is one
+    #: ``(command, literal)`` wp DNF built; one hit is one lookup of a
+    #: literal's wp (a backward step's substitution, or
+    #: :meth:`wp_dnf`) that found its DNF already built.
     wp_hits: int = 0
     wp_misses: int = 0
 
@@ -82,24 +100,110 @@ class BackwardMetaAnalysis:
     #: bindings override it (``"typestate"``, ``"escape"``, ...).
     metrics_name: str = "meta"
 
-    def wp_cached(self, command: AtomicCommand, prim) -> Formula:
-        """Memoised :meth:`wp_primitive` — the same (command, primitive)
-        pairs recur along every trace and TRACER iteration."""
-        cache = getattr(self, "_wp_cache", None)
+    def _wp_entry(self, command: AtomicCommand) -> _CommandWp:
+        cache = getattr(self, "_wp_memo", None)
         if cache is None:
-            cache = self._wp_cache = LruCache(self.WP_CACHE_SIZE)
+            cache = self._wp_memo = LruCache(self.WP_CACHE_SIZE)
             obs_metrics.register_cache(
                 f"wp_memo.{self.metrics_name}", self, _wp_counters
             )
-        key = (command, prim)
-        result = cache.get(key, _WP_MISS)
-        if result is _WP_MISS:
-            self.wp_misses += 1
-            result = self.wp_primitive(command, prim)
-            cache.put(key, result)
-        else:
+        entry = cache.get(command)
+        if entry is None:
+            entry = _CommandWp()
+            cache.put(command, entry)
+        return entry
+
+    def wp_dnf(self, command: AtomicCommand, literal: Literal) -> Dnf:
+        """The memoised weakest precondition of ``literal`` under
+        ``command``, as a DNF of the theory's codec."""
+        entry = self._wp_entry(command)
+        codec = self.theory.codec
+        literal_id = codec.literal_id(literal)
+        dnf = entry.dnfs.get(literal_id)
+        if dnf is not None:
             self.wp_hits += 1
-        return result
+            return dnf
+        atom = codec.atom(literal.prim)
+        if not atom & entry.known:
+            self._derive(command, entry, atom)
+            dnf = entry.dnfs.get(literal_id)
+            if dnf is not None:
+                return dnf
+        return self._negative_wp(command, entry, literal_id)
+
+    def wp_step(self, command: AtomicCommand, post: Dnf) -> Optional[Formula]:
+        """``post`` with every literal replaced by the DNF of its
+        weakest precondition under ``command`` (wp is a boolean
+        homomorphism, so this is ``wp(post)``), or ``None`` when the
+        command leaves every primitive of ``post`` unchanged — the
+        common case on long traces, decided by one AND of support
+        masks once the command's primitives are known."""
+        entry = self._wp_entry(command)
+        support = post.support
+        unknown = support & ~entry.known
+        if unknown:
+            self._derive(command, entry, unknown)
+        if not support & entry.moving:
+            return None
+        codec = post.codec
+        dnfs = entry.dnfs
+        disjuncts = []
+        for mask in post.masks:
+            factors = []
+            for literal_id in codec.literal_ids(mask):
+                dnf = dnfs.get(literal_id)
+                if dnf is None:
+                    dnf = self._negative_wp(command, entry, literal_id)
+                else:
+                    self.wp_hits += 1
+                factors.append(dnf)
+            # The factors are DNF leaves, never constants or nested
+            # connectives, so ``conj``/``disj`` would only copy them.
+            disjuncts.append(
+                factors[0] if len(factors) == 1 else And(tuple(factors))
+            )
+        return disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
+
+    def _derive(
+        self, command: AtomicCommand, entry: _CommandWp, atoms: int
+    ) -> None:
+        """Derive the wp of every primitive in ``atoms`` (positive
+        literals), recording which ones ``command`` moves."""
+        codec = self.theory.codec
+        while atoms:
+            atom = atoms & -atoms
+            atoms ^= atom
+            prim = codec.atom_prim(atom)
+            pre = self.wp_primitive(command, prim)
+            self.wp_misses += 1
+            positive = Literal(prim, True)
+            if type(pre) is Lit and pre.literal is positive:
+                dnf = codec.literal_dnf(positive)
+            else:
+                entry.moving |= atom
+                # Through the formula module, not this module's name:
+                # the per-layer profile counts one ``to_dnf`` per
+                # backward step.
+                dnf = _formula.to_dnf(pre, self.theory)
+            entry.dnfs[codec.literal_id(positive)] = dnf
+            entry.known |= atom
+
+    def _negative_wp(
+        self, command: AtomicCommand, entry: _CommandWp, literal_id: int
+    ) -> Dnf:
+        """Build the wp DNF of a negative literal: the literal itself
+        when ``command`` does not move its primitive, else the DNF of
+        the negated primitive wp."""
+        codec = self.theory.codec
+        literal = codec.literal(literal_id)
+        self.wp_misses += 1
+        if codec.atom(literal.prim) & entry.moving:
+            pre = neg(self.wp_primitive(command, literal.prim))
+            dnf = _formula.to_dnf(pre, self.theory)
+        else:
+            dnf = codec.literal_dnf(literal)
+        entry.dnfs[literal_id] = dnf
+        return dnf
 
 
 @dataclass
@@ -142,14 +246,12 @@ def approx(
     keys (the per-pass telemetry behind the trace's backward spans)."""
     simplified = simplify(dnf, theory)
     if stats is not None:
-        stats["subsumption_drops"] += len(dnf.cubes) - len(simplified.cubes)
+        stats["subsumption_drops"] += len(dnf.masks) - len(simplified.masks)
     if k is None:
         return simplified
-    pruned = drop_k(
-        simplified, k, lambda cube: evaluate_cube(cube, theory, p, d)
-    )
+    pruned = drop_k_masks(simplified, k, theory.codec.point(p, d).contains)
     if stats is not None:
-        stats["beam_prunes"] += len(simplified.cubes) - len(pruned.cubes)
+        stats["beam_prunes"] += len(simplified.masks) - len(pruned.masks)
     return pruned
 
 
@@ -187,30 +289,18 @@ def backward_trace(
             "post-condition; the given trace is not a counterexample"
         )
     intermediate = [current]
-    max_disjuncts = len(current.cubes)
+    max_disjuncts = len(current.masks)
     for index in range(len(trace) - 1, -1, -1):
         # One backward command can hide a lot of formula work, so the
         # cooperative budget check here always consults the clock.
         robust_budget.checkpoint()
-        command = trace[index]
-        # Fast path: when the command leaves every tracked primitive
-        # unchanged (the common case on long traces), the weakest
-        # precondition is the formula itself.
-        wp_cache = {
-            prim: meta.wp_cached(command, prim)
-            for cube in current.cubes
-            for literal in cube
-            for prim in [literal.prim]
-        }
-        if all(
-            pre == Lit(Literal(prim, True)) for prim, pre in wp_cache.items()
-        ):
+        pre_formula = meta.wp_step(trace[index], current)
+        if pre_formula is None:
             intermediate.append(current)
             continue
-        pre_formula = wp_substitute(current, wp_cache.__getitem__)
         pre = to_dnf(pre_formula, theory, max_cubes)
         current = approx(pre, theory, p, states[index], k, stats)
-        max_disjuncts = max(max_disjuncts, len(current.cubes))
+        max_disjuncts = max(max_disjuncts, len(current.masks))
         intermediate.append(current)
     intermediate.reverse()
     return MetaResult(

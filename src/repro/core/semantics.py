@@ -558,7 +558,7 @@ def check_table(table: Table, theory: Theory, command=None) -> None:
     consistent under ``theory`` and demands exactly one guard hold on
     each.  The exploration recurses one primitive at a time, pruning a
     whole subtree as soon as the partial assignment is inconsistent
-    (``normalize_cube`` returns ``None``) — with exclusive-value
+    (the codec's normal form is ``None``) — with exclusive-value
     theories this visits a small fraction of the 2^n raw assignments.
     """
     # Fast paths for the two shapes almost every table takes: a single
@@ -576,19 +576,16 @@ def check_table(table: Table, theory: Theory, command=None) -> None:
         ):
             return
     prims = _guard_primitives(table)
-    group_of = getattr(theory, "group_of", None)
-    if group_of is not None and len(prims) > 1:
+    codec = theory.codec
+    if len(prims) > 1:
         # Bucket primitives by their exclusive-value group so each
         # group is decided over consecutive levels: the cube then
         # collapses eagerly under normalisation and the subtree skip
         # below fires as early as possible.
-        try:
-            buckets: Dict[object, List[Primitive]] = {}
-            for prim in prims:
-                buckets.setdefault(group_of(prim)[0], []).append(prim)
-            prims = tuple(p for bucket in buckets.values() for p in bucket)
-        except Exception:
-            pass  # unknown primitives: keep discovery order
+        buckets: Dict[object, List[Primitive]] = {}
+        for prim in prims:
+            buckets.setdefault(codec.field(prim), []).append(prim)
+        prims = tuple(p for bucket in buckets.values() for p in bucket)
     if len(prims) > MAX_GUARD_PRIMITIVES:
         raise TableError(
             f"table for {command!r} has {len(prims)} guard primitives; "
@@ -615,16 +612,17 @@ def check_table(table: Table, theory: Theory, command=None) -> None:
 
     guards = tuple(case.guard for case in table)
 
-    def recurse(i: int, cube: frozenset, active: Tuple[int, ...], true_count: int) -> None:
+    def recurse(i: int, cube: int, active: Tuple[int, ...], true_count: int) -> None:
         if i == count:
             check_leaf()
             return
         prim = prims[i]
         for value in (True, False):
-            # ``cube`` is kept in normalised form, so each step
-            # normalises a small canonical set plus one literal rather
-            # than the whole raw assignment.
-            extended = theory.normalize_cube(cube | {Literal(prim, value)})
+            # ``cube`` is kept as a normal mask, so each step adds one
+            # literal's bits rather than re-normalising the assignment.
+            extended = codec.normalize(
+                cube | codec.literal_bits(Literal(prim, value))
+            )
             if extended is None:
                 continue  # inconsistent under the theory; unreachable
             assignment[prim] = value
@@ -647,7 +645,7 @@ def check_table(table: Table, theory: Theory, command=None) -> None:
             recurse(i + 1, extended, tuple(undecided), decided_true)
         assignment.pop(prim, None)
 
-    recurse(0, frozenset(), tuple(range(len(guards))), 0)
+    recurse(0, 0, tuple(range(len(guards))), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,8 @@ def synthesize_wp(
 
 class SynthesizedMeta(BackwardMetaAnalysis):
     """A backward meta-analysis whose transfer functions are synthesized
-    on demand from the forward analysis (and memoised via
-    :meth:`wp_cached`, so each (command, primitive) pair is enumerated
+    on demand from the forward analysis (and memoised by the backward
+    pass's wp memo, so each (command, primitive) pair is enumerated
     once per run)."""
 
     def __init__(

@@ -14,9 +14,9 @@ which the theory exploits exactly as the type-state theory does for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.core.formula import Formula, Literal, Primitive
+from repro.core.formula import Formula, Primitive
 from repro.core.meta import BackwardMetaAnalysis
 from repro.core.viability import ParamTheory
 from repro.lang.ast import AtomicCommand
@@ -74,69 +74,13 @@ class ProvenanceTheory(ParamTheory):
         assert isinstance(prim, PtParam)
         return (prim.site, True)
 
-    def lit_entails(self, a: Literal, b: Literal) -> bool:
-        if a == b:
-            return True
-        if a.positive and isinstance(a.prim, PtHas):
-            if (
-                not b.positive
-                and isinstance(b.prim, PtTop)
-                and b.prim.var == a.prim.var
-            ):
-                return True
-        if a.positive and isinstance(a.prim, PtTop):
-            if (
-                not b.positive
-                and isinstance(b.prim, PtHas)
-                and b.prim.var == a.prim.var
-            ):
-                return True
-        return False
-
-    def cube_entails_literal(self, stronger, b: Literal) -> bool:
-        if b in stronger:
-            return True
-        if b.positive:
-            return False
-        if isinstance(b.prim, PtHas):
-            return Literal(PtTop(b.prim.var), True) in stronger
-        if isinstance(b.prim, PtTop):
-            return any(
-                a.positive
-                and isinstance(a.prim, PtHas)
-                and a.prim.var == b.prim.var
-                for a in stronger
-            )
-        return False
-
-    def normalize_cube(self, literals) -> Optional[frozenset]:
-        for l in literals:
-            if l.negate() in literals:
-                return None
-        tops = {
-            l.prim.var
-            for l in literals
-            if l.positive and isinstance(l.prim, PtTop)
-        }
-        out = set()
-        for l in literals:
-            if isinstance(l.prim, PtHas) and l.prim.var in tops:
-                if l.positive:
-                    return None  # top and has are exclusive
-                continue  # !has is implied by top
-            if (
-                not l.positive
-                and isinstance(l.prim, PtTop)
-                and any(
-                    l2.positive
-                    and isinstance(l2.prim, PtHas)
-                    and l2.prim.var == l.prim.var
-                    for l2 in literals
-                )
-            ):
-                continue  # !top implied by a positive has
-            out.add(l)
-        return frozenset(out)
+    def exclusion_of(self, prim: Primitive):
+        # d(v) = TOP excludes every h in d(v): one family per variable.
+        if isinstance(prim, PtTop):
+            return (prim.var, 0)
+        if isinstance(prim, PtHas):
+            return (prim.var, 1)
+        return None
 
 
 class ProvenanceMeta(BackwardMetaAnalysis):

@@ -37,3 +37,29 @@ def test_micro_dropped_from_report_is_not_a_regression(bench_trend):
         "forward_phase"
     ]
 
+
+
+def test_history_records_the_avrora_escape_unit(bench_trend):
+    report = {
+        "micro_seconds": {"dnf_simplify_cold": 0.004},
+        "avrora_escape": {
+            "cpu_seconds": 7.4,
+            "queries": 60,
+            "resolved": 60,
+            "statuses": {"proven": 50, "impossible": 10},
+            "iterations": 120,
+            "abstraction_cost": 80,
+            "backward_calls": 100,
+            "trace_cmds": 30000,
+            "beam_prunes": 9000,
+        },
+    }
+    entry = bench_trend.history_entry(report)
+    assert entry["avrora_escape"] == {
+        "cpu_seconds": 7.4,
+        "resolved": 60,
+        "iterations": 120,
+        "trace_cmds": 30000,
+        "beam_prunes": 9000,
+    }
+    assert "avrora_escape" not in bench_trend.history_entry({})

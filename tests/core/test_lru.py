@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.formula import Theory, conj, lit
 from repro.core.lru import LruCache
 
 
@@ -52,44 +51,3 @@ class TestLruCache:
         assert cache.get("unsat", sentinel) is None
         assert cache.get("ghost", sentinel) is sentinel
 
-
-class TestNormalizeCachedEviction:
-    """The theory normalisation memo must degrade gracefully when its
-    working set crosses the bound (no clear-all thrashing)."""
-
-    def test_bound_evicts_incrementally(self):
-        from repro.core.formula import Literal, Primitive
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Atom(Primitive):
-            name: str
-
-        theory = Theory()
-        theory.NORMALIZE_CACHE_SIZE = 8
-        cubes = [frozenset({Literal(Atom(f"a{i}"), True)}) for i in range(12)]
-        for cube in cubes:
-            theory.normalize_cached(cube)
-        cache = theory._normalize_cache
-        assert len(cache) == 8
-        # The most recent entries survived; the oldest were evicted one
-        # at a time.
-        assert cubes[-1] in cache
-        assert cubes[0] not in cache
-
-    def test_memoised_result_matches_direct(self):
-        from repro.core.formula import Literal, Primitive
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Atom(Primitive):
-            name: str
-
-        theory = Theory()
-        contradictory = frozenset(
-            {Literal(Atom("x"), True), Literal(Atom("x"), False)}
-        )
-        assert theory.normalize_cached(contradictory) is None
-        # Second lookup is served from cache and still None.
-        assert theory.normalize_cached(contradictory) is None
-        assert theory._normalize_cache.hits >= 1

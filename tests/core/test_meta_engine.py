@@ -122,14 +122,21 @@ class TestApprox:
 
 class TestWpCache:
     def test_cached_wp_identical_to_direct(self):
+        from repro.core.formula import Literal, neg, to_dnf
+
         analysis = _analysis()
         meta = TypestateMeta(analysis)
-        command = Assign("x", "y")
+        theory = meta.theory
+        command = Invoke("x", "open")
         for prim in [ERR, TsType("opened")]:
-            assert meta.wp_cached(command, prim) == meta.wp_primitive(
-                command, prim
-            )
-            # Second call hits the cache.
-            assert meta.wp_cached(command, prim) == meta.wp_primitive(
-                command, prim
-            )
+            direct = meta.wp_primitive(command, prim)
+            for literal, expected in (
+                (Literal(prim, True), direct),
+                (Literal(prim, False), neg(direct)),
+            ):
+                cached = meta.wp_dnf(command, literal)
+                assert cached == to_dnf(expected, theory)
+                # Second call is served from the memo, unchanged.
+                hits = meta.wp_hits
+                assert meta.wp_dnf(command, literal) is cached
+                assert meta.wp_hits == hits + 1

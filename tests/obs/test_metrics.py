@@ -119,8 +119,8 @@ class TestRealCachesRegister:
             )
             Tracer(client, TracerConfig(k=None)).solve(EscapeQuery("pc", "u"))
             snapshot = registry.snapshot()
-        assert snapshot["normalize_memo.EscapeTheory"].hits > 0
-        assert snapshot["group_memo.EscapeTheory"].hits > 0
+        assert snapshot["cube_memo.EscapeTheory"].hits > 0
+        assert snapshot["wp_memo.escape"].hits > 0
 
 
 class TestCounter:

@@ -11,10 +11,17 @@ The pieces (see ``docs/ROBUSTNESS.md`` for the full story):
   TRACER driver walks on formula explosions;
 * :mod:`repro.robust.pool` — a process pool with per-unit timeouts,
   ``BrokenProcessPool`` recovery, and bounded retries;
-* :mod:`repro.robust.checkpoint` — JSONL checkpoints of completed
-  evaluation units behind ``repro eval --resume``;
-* :mod:`repro.robust.journal` — the append-only CEGAR search journal
-  behind ``--journal`` / ``--resume-journal``;
+* :mod:`repro.robust.recordlog` — the durable record log every
+  append-only JSONL log shares: torn-tail scans, per-record checksums,
+  versioned headers, locked appends, lock-free polls and the atomic
+  rewrite (rules in ``docs/ROBUSTNESS.md``, "Durable record logs");
+* :mod:`repro.robust.checkpoint` — checkpoints of completed evaluation
+  units behind ``repro eval --resume``;
+* :mod:`repro.robust.journal` — the CEGAR search journal behind
+  ``--journal`` / ``--resume-journal``;
+* :mod:`repro.robust.leases`, :mod:`repro.robust.clausebus` and
+  :mod:`repro.robust.scheduler` — the lease log, the clause bus and
+  the work-stealing scheduler on top of them;
 * :mod:`repro.robust.certify` — verdict certificates and their
   independent checker (``--certify-out`` / ``repro certify``).
 

@@ -30,27 +30,18 @@ wall-clock-dependent (re-running them may legitimately differ), and
 ``"impossible"`` rounds are a single cheap MinCostSAT call — not worth
 the coupling.
 
-Durability discipline matches :mod:`repro.robust.leases`: torn-tail
-tolerant incremental scans, truncate-then-append + fsync under an
-exclusive flock on a sidecar lock file, and a per-record sha256.
+The bus is a durable record log (:mod:`repro.robust.recordlog`; crash
+rules in the "Durable record logs" section of ``docs/ROBUSTNESS.md``).
 Publishing is strictly best-effort — any IO error disables the feed
 for the rest of the task rather than failing the evaluation.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.robust.leases import (
-    LeaseCorruption,
-    _LeaseLock,
-    _scan_from,
-    record_checksum,
-)
+from repro.robust.recordlog import RecordLog, load
 
 __all__ = [
     "BUS_VERSION",
@@ -70,52 +61,34 @@ class ClauseFeedMismatch(ValueError):
 
 def load_bus_records(path: str) -> List[dict]:
     """Every intact record of a clause-bus log, checksums verified."""
-    records, _intact = _scan_from(path, 0)
-    for index, record in enumerate(records):
-        stored = record.get("sha256")
-        if stored is not None and stored != record_checksum(record):
-            raise LeaseCorruption(f"{path}: record {index} fails its checksum")
-    return records
+    return load(path, "bus", BUS_VERSION)
 
 
-class ClauseBus:
+class ClauseBus(RecordLog):
     """One process's handle on the shared round log.
 
-    Reads are lock-free incremental scans (torn tails tolerated);
-    writes sync + truncate-torn-tail + append + fsync under the flock,
-    exactly like :class:`repro.robust.leases.LeaseLog`.
+    Reads are lock-free polls; a publish is one
+    :meth:`RecordLog.transaction`.
     """
 
     def __init__(self, path: str, worker: str, fresh: bool = False):
-        self.path = path
+        super().__init__(path, "bus", BUS_VERSION)
         self.worker = worker
-        self._mutex = threading.Lock()
-        self._offset = 0
-        self._rounds: Dict[Tuple[str, int, Tuple[str, ...]], dict] = {}
+        self.reset()
         self.published = 0
         self.dropped = 0
         self.disabled = False
         try:
-            with self._mutex, _LeaseLock(path):
-                if fresh and os.path.exists(path):
-                    with open(path, "w"):
-                        pass
-                self._sync_locked()
-                if self._offset == 0:
-                    self._append_locked(
-                        {"type": "bus_header", "version": BUS_VERSION}
-                    )
+            self.create(fresh=fresh)
         except OSError:
             self.disabled = True
 
-    # -- shared-file plumbing ----------------------------------------------
+    # -- the fold -----------------------------------------------------------
 
-    def _ingest(self, record: dict) -> None:
-        stored = record.get("sha256")
-        if stored is not None and stored != record_checksum(record):
-            raise LeaseCorruption(
-                f"{self.path}: clause-bus record fails its checksum"
-            )
+    def reset(self) -> None:
+        self._rounds: Dict[Tuple[str, int, Tuple[str, ...]], dict] = {}
+
+    def fold(self, record: dict) -> None:
         if record.get("type") != "round":
             return
         key = (
@@ -126,26 +99,6 @@ class ClauseBus:
         # First publication wins; rounds are deterministic per scope so
         # later duplicates are identical anyway.
         self._rounds.setdefault(key, record)
-
-    def _sync_locked(self) -> None:
-        records, self._offset = _scan_from(self.path, self._offset)
-        for record in records:
-            self._ingest(record)
-
-    def _append_locked(self, record: dict) -> None:
-        record = dict(record)
-        record["sha256"] = record_checksum(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
-        if size > self._offset:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(self._offset)
-        with open(self.path, "a") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._offset += len(line.encode("utf-8"))
-        self._ingest(record)
 
     # -- the bus protocol ---------------------------------------------------
 
@@ -158,12 +111,11 @@ class ClauseBus:
             self.dropped += 1
             return False
         try:
-            with self._mutex, _LeaseLock(self.path):
-                self._sync_locked()
+            with self.transaction():
                 key = (scope, int(round_index), tuple(queries))
                 if key in self._rounds:
                     return False
-                self._append_locked(
+                self.write(
                     {
                         "type": "round",
                         "scope": scope,
@@ -193,8 +145,7 @@ class ClauseBus:
         if found is not None:
             return found["record"]
         try:
-            with self._mutex:
-                self._sync_locked()
+            self.poll()
         except OSError:
             self.disabled = True
             return None
@@ -204,8 +155,7 @@ class ClauseBus:
     def rounds_for(self, scope: str) -> List[dict]:
         """All published round records for a scope, in round order."""
         try:
-            with self._mutex:
-                self._sync_locked()
+            self.poll()
         except OSError:
             self.disabled = True
         matching = [

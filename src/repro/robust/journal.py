@@ -5,9 +5,10 @@ The grouped driver (:func:`repro.core.tracer.run_query_group`) appends
 one record per executed group-round: the chosen abstraction, the
 forward verdict per member, every learned failure clause together with
 the counterexample trace that justified it, degradation steps, and the
-time/step charges.  Records are flushed and fsync'd as they are
-written (:class:`repro.robust.checkpoint.JsonlAppender`), so a SIGKILL
-at any instant loses at most the round in flight.
+time/step charges.  The journal is a durable record log
+(:mod:`repro.robust.recordlog`; crash rules in the "Durable record
+logs" section of ``docs/ROBUSTNESS.md``), so a SIGKILL at any instant
+loses at most the round in flight.
 
 On ``--resume-journal`` the driver *replays* the recorded rounds
 before going live: learned clauses feed straight back into the
@@ -20,8 +21,9 @@ uninterrupted one, including the certificate evidence.  Each replayed
 round is integrity-checked against the store: the recomputed
 minimum-cost abstraction must equal the recorded one, and every
 replayed clause set must still exclude it; a journal that fails those
-checks (stale, foreign, or tampered) raises :class:`JournalMismatch`
-rather than replaying garbage.
+checks (stale, foreign, or tampered — a failed record checksum
+included) raises :class:`JournalMismatch` rather than replaying
+garbage.
 
 Record types (``journal_header`` first, then ``round`` records in
 execution order)::
@@ -67,7 +69,7 @@ from repro.lang.ast import (
     ThreadStart,
     Trace,
 )
-from repro.robust.checkpoint import JsonlAppender, scan_jsonl
+from repro.robust.recordlog import LogCorruption, RecordLog, load
 
 __all__ = [
     "JournalMismatch",
@@ -147,21 +149,12 @@ def clause_from_jsonable(items: List[List]) -> frozenset:
 # -- the journal --------------------------------------------------------------
 
 
-def load_journal(path: str) -> Tuple[Optional[dict], List[dict]]:
-    """Read ``(header, round records)`` from a journal file, skipping a
-    trailing torn line; raises on interior corruption or an unknown
-    version."""
-    records, _intact = scan_jsonl(path)
+def _split(records: List[dict]) -> Tuple[Optional[dict], List[dict]]:
     header: Optional[dict] = None
     rounds: List[dict] = []
     for record in records:
         rtype = record.get("type")
         if rtype == "journal_header":
-            version = record.get("version")
-            if version != JOURNAL_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported journal version {version!r}"
-                )
             header = record
         elif rtype == "round":
             rounds.append(record)
@@ -169,7 +162,14 @@ def load_journal(path: str) -> Tuple[Optional[dict], List[dict]]:
     return header, rounds
 
 
-class SearchJournal:
+def load_journal(path: str) -> Tuple[Optional[dict], List[dict]]:
+    """Read ``(header, round records)`` from a journal file, skipping a
+    trailing torn line; raises on interior corruption, a failed
+    checksum, or an unknown version."""
+    return _split(load(path, "journal", JOURNAL_VERSION))
+
+
+class SearchJournal(RecordLog):
     """One ``run_query_group`` call's journal: a replay cursor over the
     recorded rounds plus a crash-safe appender for new ones.
 
@@ -179,22 +179,19 @@ class SearchJournal:
     that follow them."""
 
     def __init__(self, path: str, resume: bool = False):
-        self.path = path
+        super().__init__(path, "journal", JOURNAL_VERSION)
         self.replayed_rounds = 0
         self._cursor = 0
-        self._rounds: List[dict] = []
-        self._header: Optional[dict] = None
-        if resume:
-            self._header, self._rounds = load_journal(path)
-            if self._header is None and self._rounds:
-                raise ValueError(f"{path}: journal has rounds but no header")
-            self._appender = JsonlAppender(path)
-        else:
-            # A fresh journal: drop any previous contents.
-            with open(path, "w"):
-                pass
-            self._appender = JsonlAppender(path)
-        self._replaying = resume and bool(self._rounds)
+        # A fresh journal drops any previous contents; its header is
+        # written by begin(), which knows the query set.
+        try:
+            records = self.create(fresh=not resume, header=False)
+        except LogCorruption as error:
+            raise JournalMismatch(str(error)) from error
+        self._header, self._rounds = _split(records)
+        if self._header is None and self._rounds:
+            raise ValueError(f"{path}: journal has rounds but no header")
+        self._replaying = bool(self._rounds)
 
     @property
     def replaying(self) -> bool:
@@ -211,13 +208,9 @@ class SearchJournal:
                     f"{recorded!r}, not {list(query_ids)!r}"
                 )
         else:
-            header = {
-                "type": "journal_header",
-                "version": JOURNAL_VERSION,
-                "queries": list(query_ids),
-            }
-            self._appender.append(header)
-            self._header = header
+            self._header = self.append(
+                dict(self.header(), queries=list(query_ids))
+            )
 
     def replay_round(self, query_ids: List[str]) -> Optional[dict]:
         """The next recorded round if it matches the group about to
@@ -246,17 +239,7 @@ class SearchJournal:
         record is already on disk)."""
         if self._replaying:
             return
-        self._appender.append(dict(record, type="round"))
-
-    def close(self) -> None:
-        self._appender.close()
-
-    def __enter__(self) -> "SearchJournal":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+        self.append(dict(record, type="round"))
 
 
 class RoundCollector:

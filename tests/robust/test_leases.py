@@ -16,15 +16,14 @@ import pytest
 from repro.robust.clausebus import BUS_VERSION, ClauseBus, ClauseFeed, load_bus_records
 from repro.robust.leases import (
     LeaseConsistencyError,
-    LeaseCorruption,
     LeaseLog,
     LeaseWatcher,
     lease_summary,
     load_lease_records,
     payload_fingerprint,
-    record_checksum,
     verify_lease_log,
 )
+from repro.robust.recordlog import LogCorruption, checksum
 
 TASKS = [("bench", "typestate", 0, gi) for gi in range(3)]
 TTL = 10.0
@@ -97,7 +96,7 @@ class TestLeaseLogLifecycle:
         lines[0] = "not json"
         with open(log.path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-        with pytest.raises(LeaseCorruption):
+        with pytest.raises(LogCorruption):
             load_lease_records(log.path)
 
     def test_checksum_mismatch_raises(self, tmp_path):
@@ -109,13 +108,13 @@ class TestLeaseLogLifecycle:
         lines[-1] = json.dumps(beat, sort_keys=True)
         with open(log.path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-        with pytest.raises(LeaseCorruption):
+        with pytest.raises(LogCorruption):
             load_lease_records(log.path)
 
     def test_checksum_excludes_itself(self):
         record = {"type": "heartbeat", "worker": "w", "t": 1.0}
-        digest = record_checksum(record)
-        assert record_checksum(dict(record, sha256=digest)) == digest
+        digest = checksum(record)
+        assert checksum(dict(record, sha256=digest)) == digest
 
 
 class TestLeaseProtocol:
@@ -274,7 +273,7 @@ class TestClauseBus:
         lines[0] = "garbage"
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-        with pytest.raises((LeaseCorruption, ValueError)):
+        with pytest.raises((LogCorruption, ValueError)):
             load_bus_records(path)
 
     def test_checksum_mismatch_raises(self, tmp_path):
@@ -287,7 +286,7 @@ class TestClauseBus:
         lines[-1] = json.dumps(entry, sort_keys=True)
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-        with pytest.raises(LeaseCorruption):
+        with pytest.raises(LogCorruption):
             load_bus_records(path)
 
     def test_unwritable_bus_disables_not_raises(self, tmp_path):

@@ -1,6 +1,7 @@
 """Store hardening: crash-safe compaction (including a SIGKILL kill
-matrix over the compaction windows), offline verification, shared-mode
-cross-process coordination, and checksum integrity."""
+matrix over the compaction windows), offline verification,
+cross-process coordination of several handles on one file, and
+checksum integrity."""
 
 import json
 import multiprocessing
@@ -9,10 +10,10 @@ import os
 import pytest
 
 from repro.robust import faults
+from repro.robust.recordlog import checksum
 from repro.serve.store import (
     KnowledgeStore,
     STORE_VERSION,
-    entry_checksum,
     verify_store,
 )
 
@@ -116,7 +117,7 @@ def _compact_and_die(path, site):
     """Child process body: SIGKILL itself at the given compaction
     window (the 'kill' fault action)."""
     plan = faults.FaultPlan.from_specs([f"{site}:kill"])
-    store = KnowledgeStore(path, shared=True)
+    store = KnowledgeStore(path)
     with faults.fault_scope(plan):
         store.compact()
     os._exit(1)  # pragma: no cover - the kill must have fired
@@ -243,7 +244,7 @@ class TestVerify:
 
 
 def _record_in_child(path, digest, source):
-    store = KnowledgeStore(path, shared=True)
+    store = KnowledgeStore(path)
     store.record(**_args(digest, source=source))
     store.close()
     os._exit(0)
@@ -252,8 +253,8 @@ def _record_in_child(path, digest, source):
 class TestSharedMode:
     def test_two_handles_interleave_and_refresh(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        a = KnowledgeStore(path, shared=True)
-        b = KnowledgeStore(path, shared=True)
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
         a.record(**_args(_digest("a"), source="cli:a.rp"))
         b.record(**_args(_digest("b"), source="cli:b.rp"))
         # Each handle sees the other's append via tail refresh.
@@ -266,7 +267,7 @@ class TestSharedMode:
 
     def test_cross_process_append_is_seen(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        parent = KnowledgeStore(path, shared=True)
+        parent = KnowledgeStore(path)
         ctx = multiprocessing.get_context("fork")
         child = ctx.Process(
             target=_record_in_child, args=(path, _digest("c"), "cli:c.rp")
@@ -280,7 +281,7 @@ class TestSharedMode:
 
     def test_torn_tail_truncated_before_shared_append(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = KnowledgeStore(path, shared=True)
+        store = KnowledgeStore(path)
         store.record(**_args(_digest("a")))
         with open(path, "ab") as handle:
             handle.write(b'{"type": "entry", "half')
@@ -291,10 +292,60 @@ class TestSharedMode:
         assert summary["torn_tail"] is False
         assert summary["entries"] == 2
 
+    def test_interior_corruption_under_other_handle_raises(self, tmp_path):
+        # a's offset sits before b's entries; when one of them is
+        # damaged, a's next append must fail loudly instead of
+        # truncating every entry after the damage away.
+        path = str(tmp_path / "store.jsonl")
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
+        for seed in "xyz":
+            b.record(**_args(_digest(seed), source=f"cli:{seed}.rp"))
+        store_file = tmp_path / "store.jsonl"
+        lines = store_file.read_bytes().splitlines(keepends=True)
+        lines[1] = b"garbage not json\n"
+        store_file.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError):
+            a.record(**_args(_digest("w"), source="cli:w.rp"))
+        assert store_file.read_bytes() == b"".join(lines)
+
+    def test_append_after_compaction_by_other_handle_is_kept(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
+        a.record(**_args(_digest("a")))
+        a.record(**_args(_digest("a")))
+        b.compact()
+        a.record(**_args(_digest("b"), source="cli:b.rp"))
+        problems, summary = verify_store(path)
+        assert problems == []
+        assert summary["entries"] == 2
+        fresh = KnowledgeStore(path)
+        assert fresh.lookup(
+            _digest("b"), CONFIG, ["typestate:check1"]) is not None
+
+    def test_torn_first_write_gets_a_header(self, tmp_path, capsys):
+        # A writer killed mid-header leaves a file holding one torn
+        # line; whoever opens the store next must write the header.
+        from repro.cli import main
+
+        path = str(tmp_path / "store.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b'{"type": "store_hea')
+        assert main(["store", "stats", path]) == 0
+        problems, summary = verify_store(path)
+        assert problems == []
+        assert summary["records"] == 1 and summary["torn_tail"] is False
+        store = KnowledgeStore(path)
+        store.record(**_args(_digest("a")))
+        problems, summary = verify_store(path)
+        assert problems == []
+        assert summary["entries"] == 1
+
     def test_compaction_under_other_handle_triggers_reload(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        a = KnowledgeStore(path, shared=True)
-        b = KnowledgeStore(path, shared=True)
+        a = KnowledgeStore(path)
+        b = KnowledgeStore(path)
         for _ in range(3):
             a.record(**_args(_digest("a")))
         assert b.lookup(
@@ -317,11 +368,11 @@ class TestChecksums:
         path = str(tmp_path / "store.jsonl")
         store = KnowledgeStore(path)
         entry = store.record(**_args(_digest("a")))
-        assert entry["sha256"] == entry_checksum(entry)
+        assert entry["sha256"] == checksum(entry)
         store.close()
 
     def test_checksum_excludes_itself(self):
         entry = {"type": "entry", "digest": _digest("a")}
-        digest = entry_checksum(entry)
+        digest = checksum(entry)
         entry["sha256"] = digest
-        assert entry_checksum(entry) == digest
+        assert checksum(entry) == digest

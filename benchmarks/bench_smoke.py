@@ -269,7 +269,8 @@ def scheduler_bench():
     the last one records how many leases were stolen and recovered
     through parent force-release/TTL expiry, and asserts the faulted
     run's records still match the clean one.  ``bench_trend`` watches
-    the waves/leases wall-clock ratio for scheduler overhead creep.
+    the waves/leases wall-clock ratio for scheduler overhead creep, and
+    gates on the clean run's clause-bus record count.
     """
     from repro.bench.harness import prepare
     from repro.bench.parallel import (
@@ -330,6 +331,9 @@ def scheduler_bench():
             "claims": clean_stats.get("claims"),
             "steals": clean_stats.get("steals"),
             "expiries": clean_stats.get("expiries"),
+            # Deterministic on a clean run: bench_trend gates on it.
+            "bus_records": clean_stats.get("bus_records"),
+            "bus_bytes": clean_stats.get("bus_bytes"),
         },
         "faulted_kill_seconds": round(faulted_seconds, 4),
         "faulted": {

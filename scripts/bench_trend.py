@@ -5,7 +5,8 @@ Reads the latest ``BENCH_smoke.json`` (written by
 ``BENCH_history.jsonl``, and compares the new run's ``micro_seconds``
 medians against the previous history entry.  Any micro kernel more
 than ``--threshold`` (default 25%) slower than last time is reported
-as a regression::
+as a regression, and so is a change in a deterministic count (see
+:data:`EXACT_COUNTS`) against the last entry that records it::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py
     PYTHONPATH=src python scripts/bench_trend.py          # warn only
@@ -91,8 +92,34 @@ def history_entry(report: dict) -> dict:
             "faulted_expiries": (
                 (scheduler.get("faulted") or {}).get("expiries")
             ),
+            "bus_records": (scheduler.get("clean") or {}).get("bus_records"),
+            "bus_bytes": (scheduler.get("clean") or {}).get("bus_bytes"),
         }
     return entry
+
+
+#: ``(section, key)`` of history counts that are deterministic, so any
+#: change is a change in behaviour, not noise: the clean lease run's
+#: clause-bus record count.
+EXACT_COUNTS = (("scheduler", "bus_records"),)
+
+
+def count_changes(history: list, current: dict) -> list:
+    """``(name, old, new)`` for every :data:`EXACT_COUNTS` count of
+    ``current`` that differs from the last ``history`` entry recording
+    it; entries without the count are skipped."""
+    changes = []
+    for section, key in EXACT_COUNTS:
+        new = (current.get(section) or {}).get(key)
+        if new is None:
+            continue
+        for previous in reversed(history):
+            old = (previous.get(section) or {}).get(key)
+            if old is not None:
+                if old != new:
+                    changes.append((f"{section}.{key}", old, new))
+                break
+    return changes
 
 
 def load_history(path: str) -> list:
@@ -166,6 +193,7 @@ def main(argv=None):
     regressions = []
     if history:
         regressions = compare(history[-1], entry, args.threshold)
+    changes = count_changes(history, entry)
 
     with open(args.history, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True))
@@ -192,7 +220,9 @@ def main(argv=None):
     if not history:
         print("no previous entry — baseline recorded, nothing to compare")
         return 0
-    if not regressions:
+    for name, old, new in changes:
+        print(f"CHANGED {name}: {old} -> {new} (a deterministic count)")
+    if not regressions and not changes:
         print(
             f"no regressions over {args.threshold:.0%} vs previous entry "
             f"({history[-1].get('timestamp')})"

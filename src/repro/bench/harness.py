@@ -88,6 +88,20 @@ def prepare_uncached(
 # -- client construction ------------------------------------------------------
 
 
+def _procedures(bench: BenchmarkInstance):
+    """The procedure graph the interprocedural analyses run on."""
+    from repro.frontend.procedures import lower_procedures
+
+    return lower_procedures(bench.front, bench.callgraph)
+
+
+def _escape_queries(access_points) -> List[EscapeQuery]:
+    return [
+        EscapeQuery(pc, qvar)
+        for pc, (_cls, _meth, _base, qvar) in sorted(access_points.items())
+    ]
+
+
 def escape_setup(bench: BenchmarkInstance) -> Tuple[EscapeClient, List[EscapeQuery]]:
     """Build the thread-escape client and its query set."""
     inlined = bench.inlined
@@ -96,11 +110,7 @@ def escape_setup(bench: BenchmarkInstance) -> Tuple[EscapeClient, List[EscapeQue
         fields=sorted(inlined.fields),
     )
     client = EscapeClient(inlined.program, schema, inlined.sites)
-    queries = [
-        EscapeQuery(pc, qvar)
-        for pc, (_cls, _meth, _base, qvar) in sorted(inlined.access_points.items())
-    ]
-    return client, queries
+    return client, _escape_queries(inlined.access_points)
 
 
 def escape_setup_interproc(
@@ -108,19 +118,73 @@ def escape_setup_interproc(
 ) -> Tuple[EscapeClient, List[EscapeQuery]]:
     """Like :func:`escape_setup` but through the interprocedural
     tabulation engine (procedure graph, no inlining)."""
-    from repro.frontend.procedures import lower_procedures
-
-    procs = lower_procedures(bench.front, bench.callgraph)
+    procs = _procedures(bench)
     schema = EscSchema(
         locals_=sorted(procs.variables | procs.query_vars),
         fields=sorted(procs.fields),
     )
     client = EscapeClient(procs.graph, schema, procs.sites)
-    queries = [
-        EscapeQuery(pc, qvar)
-        for pc, (_cls, _meth, _base, qvar) in sorted(procs.access_points.items())
+    return client, _escape_queries(procs.access_points)
+
+
+def _typestate_units(
+    bench: BenchmarkInstance, call_points
+) -> List[Tuple[str, List[TypestateQuery]]]:
+    """``(tracked site, queries)`` of every type-state unit, in unit
+    order: one unit per application site some call receiver may point
+    to."""
+    app_sites = set(bench.front.app_sites())
+    per_site: Dict[str, List[TypestateQuery]] = {}
+    for pc, (cls, meth, base, _m) in sorted(call_points.items()):
+        for site in sorted(bench.callgraph.pts_var(cls, meth, base)):
+            if site in app_sites:
+                per_site.setdefault(site, []).append(
+                    TypestateQuery(pc, frozenset({"init"}))
+                )
+    return [(site, per_site[site]) for site in sorted(per_site)]
+
+
+def _typestate_setups(
+    bench: BenchmarkInstance, interproc: bool, only: Optional[int] = None
+) -> List[Tuple[TypestateClient, List[TypestateQuery]]]:
+    """The ``(client, queries)`` pairs of every type-state unit, or of
+    unit ``only`` alone (a one-element list; no other client is
+    built)."""
+    if interproc:
+        procs = _procedures(bench)
+        program, variables, call_points = (
+            procs.graph, procs.variables, procs.call_points
+        )
+        oracle = MayAliasOracle(bench.callgraph, procs.var_origin)
+    else:
+        inlined = bench.inlined
+        program, variables, call_points = (
+            inlined.program, inlined.variables, inlined.call_points
+        )
+        oracle = bench.oracle
+    units = _typestate_units(bench, call_points)
+    if only is not None:
+        units = [units[only]]
+    if not units:
+        return []
+    automaton = stress_automaton(
+        sorted({m for *_rest, m in call_points.values()})
+    )
+    event_labels = frozenset(call_points)
+    return [
+        (
+            TypestateClient(
+                program,
+                automaton,
+                tracked_site=site,
+                variables=variables,
+                may_point=oracle.for_site(site),
+                event_labels=event_labels,
+            ),
+            queries,
+        )
+        for site, queries in units
     ]
-    return client, queries
 
 
 def typestate_setup(
@@ -130,32 +194,7 @@ def typestate_setup(
 
     Returns ``(client, queries)`` pairs; queries on the same tracked
     site share a client (and hence TRACER's grouping optimisation)."""
-    inlined = bench.inlined
-    methods = sorted({m for *_rest, m in inlined.call_points.values()})
-    if not methods:
-        return []
-    automaton = stress_automaton(methods)
-    event_labels = frozenset(inlined.call_points)
-    app_sites = set(bench.front.app_sites())
-    per_site: Dict[str, List[TypestateQuery]] = {}
-    for pc, (cls, meth, base, _m) in sorted(inlined.call_points.items()):
-        for site in sorted(bench.callgraph.pts_var(cls, meth, base)):
-            if site in app_sites:
-                per_site.setdefault(site, []).append(
-                    TypestateQuery(pc, frozenset({"init"}))
-                )
-    out: List[Tuple[TypestateClient, List[TypestateQuery]]] = []
-    for site in sorted(per_site):
-        client = TypestateClient(
-            inlined.program,
-            automaton,
-            tracked_site=site,
-            variables=inlined.variables,
-            may_point=bench.oracle.for_site(site),
-            event_labels=event_labels,
-        )
-        out.append((client, per_site[site]))
-    return out
+    return _typestate_setups(bench, interproc=False)
 
 
 def typestate_setup_interproc(
@@ -163,35 +202,7 @@ def typestate_setup_interproc(
 ) -> List[Tuple[TypestateClient, List[TypestateQuery]]]:
     """Like :func:`typestate_setup` but over the procedure graph (the
     interprocedural tabulation engine instead of inlining)."""
-    from repro.frontend.procedures import lower_procedures
-
-    procs = lower_procedures(bench.front, bench.callgraph)
-    methods = sorted({m for *_rest, m in procs.call_points.values()})
-    if not methods:
-        return []
-    automaton = stress_automaton(methods)
-    event_labels = frozenset(procs.call_points)
-    oracle = MayAliasOracle(bench.callgraph, procs.var_origin)
-    app_sites = set(bench.front.app_sites())
-    per_site: Dict[str, List[TypestateQuery]] = {}
-    for pc, (cls, meth, base, _m) in sorted(procs.call_points.items()):
-        for site in sorted(bench.callgraph.pts_var(cls, meth, base)):
-            if site in app_sites:
-                per_site.setdefault(site, []).append(
-                    TypestateQuery(pc, frozenset({"init"}))
-                )
-    out: List[Tuple[TypestateClient, List[TypestateQuery]]] = []
-    for site in sorted(per_site):
-        client = TypestateClient(
-            procs.graph,
-            automaton,
-            tracked_site=site,
-            variables=procs.variables,
-            may_point=oracle.for_site(site),
-            event_labels=event_labels,
-        )
-        out.append((client, per_site[site]))
-    return out
+    return _typestate_setups(bench, interproc=True)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -297,6 +308,34 @@ def analysis_setups(bench: BenchmarkInstance, analysis: str):
     if analysis == "typestate-interproc":
         return typestate_setup_interproc(bench)
     raise ValueError(f"unknown analysis {analysis!r}")
+
+
+def analysis_setup(bench: BenchmarkInstance, analysis: str, index: int):
+    """The ``(client, queries)`` pair of unit ``index`` alone: the same
+    pair as ``analysis_setups(bench, analysis)[index]``, without
+    building any other unit's client."""
+    if analysis in ("typestate", "typestate-interproc"):
+        return _typestate_setups(
+            bench, interproc=analysis == "typestate-interproc", only=index
+        )[0]
+    return analysis_setups(bench, analysis)[index]
+
+
+def analysis_queries(bench: BenchmarkInstance, analysis: str) -> List[list]:
+    """The query list of every unit of one analysis, in unit order, as
+    :func:`analysis_setups` would pair them, without building any
+    client."""
+    if analysis == "escape":
+        return [_escape_queries(bench.inlined.access_points)]
+    if analysis == "escape-interproc":
+        return [_escape_queries(_procedures(bench).access_points)]
+    if analysis == "typestate":
+        call_points = bench.inlined.call_points
+    elif analysis == "typestate-interproc":
+        call_points = _procedures(bench).call_points
+    else:
+        raise ValueError(f"unknown analysis {analysis!r}")
+    return [queries for _site, queries in _typestate_units(bench, call_points)]
 
 
 def client_cache_counters(client) -> Tuple[CacheCounters, CacheCounters]:

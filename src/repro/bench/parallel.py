@@ -9,11 +9,12 @@ concatenated in the exact order the serial harness would have produced
 them, so statuses, abstractions, and iteration counts are
 byte-for-byte identical to ``jobs=1`` (only wall-clock fields differ).
 
-Work units are described by *name + unit index*, not by pickled client
-objects: each worker process synthesizes the benchmark itself (memoised
-per process, and inherited for free on fork-based platforms via
-:func:`_seed_instance`), rebuilds the client list, and runs its
-assigned unit.  Custom (non-suite) programs ride along as a pickled
+Work units are described by *name + unit index* (plus the unit's query
+ids, listed once in the parent without building any client), not by
+pickled client objects: each worker process synthesizes the benchmark
+itself (memoised per process, and inherited for free on fork-based
+platforms via :func:`_seed_instance`), builds only its unit's client,
+and runs it.  Custom (non-suite) programs ride along as a pickled
 :class:`~repro.frontend.program.FrontProgram`.
 
 Scheduling is lease-based work stealing by default
@@ -49,6 +50,7 @@ Entry points:
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,7 +59,8 @@ from repro.bench.harness import (
     BenchmarkInstance,
     DEFAULT_CONFIG,
     EvalResult,
-    analysis_setups,
+    analysis_queries,
+    analysis_setup,
     counters_from_metrics,
 )
 from repro.core.stats import CacheCounters, QueryRecord
@@ -73,7 +76,12 @@ from repro.robust.checkpoint import (
     UnitKey,
     load_checkpoint,
 )
-from repro.robust.clausebus import ClauseBus, ClauseFeed, ClauseFeedMismatch
+from repro.robust.clausebus import (
+    ClauseBus,
+    ClauseFeed,
+    ClauseFeedMismatch,
+    load_bus_records,
+)
 from repro.robust.faults import FaultPlan
 from repro.robust.leases import TaskKey, payload_fingerprint
 from repro.robust.pool import RetryPolicy, UnitOutcome, run_units
@@ -134,6 +142,10 @@ class WorkUnit:
     index: int  # position in analysis_setups(bench, analysis)
     token: int  # parent-side instance token (for the fork-time memo)
     front: Optional[FrontProgram] = None  # only for non-suite programs
+    #: ``str`` of every query of the unit, in order (see
+    #: :func:`~repro.bench.harness.analysis_queries`): what the lease
+    #: scheduler sizes groups by, so the parent never builds a client.
+    query_ids: Tuple[str, ...] = ()
 
     @property
     def key(self) -> UnitKey:
@@ -215,7 +227,7 @@ def _run_group(
     with obs_metrics.scoped_registry() as registry:
         # Client construction happens inside the scope so the caches
         # it builds (dispatch tables, wp memos) register here.
-        client, queries = analysis_setups(bench, unit.analysis)[unit.index]
+        client, queries = analysis_setup(bench, unit.analysis, unit.index)
         group_queries = queries if group is None else queries[group[0]:group[1]]
         if not group_queries:
             return [], {}, [], []
@@ -298,8 +310,9 @@ def _execute_unit(task: Tuple, attempt: int) -> UnitResult:
 
 
 #: Counters of the most recent lease-scheduled run in this process
-#: (claims, steals, expiries, respawns, ...) — read by the bench suite
-#: and surfaced as scheduler gauges.
+#: (claims, steals, expiries, respawns, ..., and the clause bus's
+#: ``bus_records``/``bus_bytes`` read off the file after the run) —
+#: read by the bench suite and surfaced as scheduler gauges.
 _LAST_SCHEDULER_STATS: Dict[str, int] = {}
 
 
@@ -360,6 +373,15 @@ def _payload_result(payload: dict) -> UnitResult:
     )
 
 
+def _bus_size(path: str) -> Tuple[int, int]:
+    """``(intact records, bytes)`` of a clause bus; ``(0, 0)`` when it
+    is missing or unreadable (the stats never fail a run)."""
+    try:
+        return len(load_bus_records(path)), os.path.getsize(path)
+    except (OSError, ValueError):
+        return 0, 0
+
+
 def _run_leased(
     units: Sequence[WorkUnit],
     config: TracerConfig,
@@ -378,7 +400,6 @@ def _run_leased(
     Same contract as :func:`_run_resilient`: ``(per-unit results in
     unit order, failed unit descriptions, degraded flag)``.
     """
-    import os as _os
     import shutil as _shutil
     import tempfile as _tempfile
 
@@ -397,9 +418,8 @@ def _run_leased(
     pending = [i for i in range(len(units)) if results[i] is None]
     collect = obs.active()
 
-    # Decompose pending units into group tasks.  The parent already
-    # synthesizes every instance (work_units did), so sizing the groups
-    # off analysis_setups costs nothing new.
+    # Decompose pending units into group tasks, sized off the query ids
+    # the units carry: the parent builds no client.
     tasks: List[TaskKey] = []
     bounds_of: Dict[TaskKey, Optional[Tuple[int, int, int]]] = {}
     queries_of: Dict[TaskKey, List[str]] = {}
@@ -408,10 +428,8 @@ def _run_leased(
     size = max(0, options.group_size)
     for position in pending:
         unit = units[position]
-        bench = _instance(unit)
-        _client, queries = analysis_setups(bench, unit.analysis)[unit.index]
-        ids = [str(query) for query in queries]
-        count = len(queries)
+        ids = list(unit.query_ids)
+        count = len(ids)
         if size and count > size:
             groups: List[Optional[Tuple[int, int, int]]] = [
                 (lo, min(lo + size, count), gi)
@@ -435,13 +453,18 @@ def _run_leased(
     cleanup: Optional[str] = None
     if lease_path is None:
         cleanup = _tempfile.mkdtemp(prefix="repro-leases-")
-        lease_path = _os.path.join(cleanup, "run.leases")
+        lease_path = os.path.join(cleanup, "run.leases")
     bus_path = lease_path + ".bus"
     if options.clause_bus and tasks:
         # Parent creates (or truncates) the bus before any worker runs.
         ClauseBus(bus_path, worker="parent", fresh=not options.resume)
 
     use_bus = options.clause_bus
+    #: The worker's bus handle, by pid: opened on the worker's first
+    #: task (after the fork; the parent's copy stays empty) and reused
+    #: by its later ones, so each worker parses the bus once, not once
+    #: per task.
+    buses: Dict[int, ClauseBus] = {}
 
     def execute(task: TaskKey) -> Tuple[dict, str]:
         position = position_of[task]
@@ -449,7 +472,10 @@ def _run_leased(
         bounds = bounds_of[task]
         feed = None
         if use_bus:
-            bus = ClauseBus(bus_path, worker=f"pid-{_os.getpid()}")
+            pid = os.getpid()
+            bus = buses.get(pid)
+            if bus is None:
+                bus = buses[pid] = ClauseBus(bus_path, worker=f"pid-{pid}")
             feed = ClauseFeed(bus, scope=":".join(str(p) for p in task))
         try:
             result = _run_group(
@@ -481,6 +507,9 @@ def _run_leased(
             max_attempts=options.retry.max_attempts,
             fault_plan=options.fault_plan,
             worker_faults=options.worker_faults,
+        )
+        bus_records, bus_bytes = (
+            _bus_size(bus_path) if use_bus and tasks else (0, 0)
         )
     finally:
         if cleanup is not None:
@@ -557,6 +586,8 @@ def _run_leased(
     stats["resumed_units"] = resumed
     stats["resumed_tasks"] = scheduled.resumed
     stats["failed_units"] = len(failed)
+    stats["bus_records"] = bus_records
+    stats["bus_bytes"] = bus_bytes
     global _LAST_SCHEDULER_STATS
     _LAST_SCHEDULER_STATS = stats
     if obs.active():
@@ -587,14 +618,25 @@ def _run_leased(
     return results, failed, degraded
 
 
-def work_units(bench: BenchmarkInstance, analysis: str) -> List[WorkUnit]:
+def work_units(
+    bench: BenchmarkInstance, analysis: str, token: Optional[int] = None
+) -> List[WorkUnit]:
     """Enumerate the independent workloads of one benchmark/analysis in
-    the order the serial harness evaluates them."""
-    token = _seed_instance(bench)
+    the order the serial harness evaluates them, seeding ``bench``
+    unless its ``token`` is given.  Builds no client."""
+    if token is None:
+        token = _seed_instance(bench)
     front = None if bench.standard else bench.front
     return [
-        WorkUnit(bench.name, analysis, index, token, front)
-        for index in range(len(analysis_setups(bench, analysis)))
+        WorkUnit(
+            bench.name,
+            analysis,
+            index,
+            token,
+            front,
+            tuple(str(query) for query in queries),
+        )
+        for index, queries in enumerate(analysis_queries(bench, analysis))
     ]
 
 
@@ -826,11 +868,7 @@ def evaluate_many(
         # One seed token per instance, shared by its analyses.
         if name not in tokens:
             tokens[name] = _seed_instance(bench)
-        front = None if bench.standard else bench.front
-        units_of[(name, analysis)] = [
-            WorkUnit(name, analysis, index, tokens[name], front)
-            for index in range(len(analysis_setups(bench, analysis)))
-        ]
+        units_of[(name, analysis)] = work_units(bench, analysis, tokens[name])
     flat: List[WorkUnit] = []
     spans: Dict[Tuple[str, str], Tuple[int, int]] = {}
     for pair, units in units_of.items():

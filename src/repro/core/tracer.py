@@ -556,13 +556,12 @@ def run_query_group(
             )
     budgeted = config.max_seconds is not None or config.max_steps is not None
     evidence: Dict[Query, QueryEvidence] = {q: QueryEvidence() for q in queries}
-    #: Survivor traces/clauses are serialised only when someone will
-    #: read them (the journal, or certificate evidence).
-    recording = (
-        journal is not None
-        or certificates is not None
-        or clause_feed is not None
-    )
+    #: Survivor witness traces are serialised, and kept as certificate
+    #: evidence, only when someone reads them: the journal (whose replay
+    #: restores that evidence) or the certificates.  The clause bus
+    #: re-validates a round from its clauses alone, so without either
+    #: its records carry ``"trace": []``.
+    recording = journal is not None or certificates is not None
     if journal is not None:
         journal.begin([str(q) for q in queries])
     #: Abstractions of bus-drained rounds: the uninterrupted search ran

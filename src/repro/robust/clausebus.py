@@ -21,9 +21,15 @@ Crucially, a drained round is **never trusted**: it is replayed
 through :func:`repro.core.tracer.apply_replay`, whose per-survivor
 ``ViabilityStore.add_clauses`` + ``excludes`` probes re-validate every
 imported clause against this process's own store before any of it can
-prune the search.  A record that fails re-validation raises
-:class:`ClauseFeedMismatch` and the importer falls back to solving the
-round cold.
+prune the search.  Re-validation reads the clauses only: survivor
+witness traces travel on the bus only when the run certifies (they
+become certificate evidence), and are ``[]`` otherwise.  A record that
+fails re-validation raises :class:`ClauseFeedMismatch` and the importer
+falls back to solving the round cold.
+
+Each worker process keeps one :class:`ClauseBus` handle for all its
+tasks, so it parses the bus incrementally, once; every task gets its
+own :class:`ClauseFeed` on that handle.
 
 Only ``"ok"`` rounds travel: budget and error outcomes are
 wall-clock-dependent (re-running them may legitimately differ), and
@@ -32,8 +38,9 @@ the coupling.
 
 The bus is a durable record log (:mod:`repro.robust.recordlog`; crash
 rules in the "Durable record logs" section of ``docs/ROBUSTNESS.md``).
-Publishing is strictly best-effort — any IO error disables the feed
-for the rest of the task rather than failing the evaluation.
+Publishing is strictly best-effort — any IO error disables the bus
+for the rest of the task rather than failing the evaluation; the next
+task's :class:`ClauseFeed` re-arms it.
 """
 
 from __future__ import annotations
@@ -77,6 +84,11 @@ class ClauseBus(RecordLog):
         self.reset()
         self.published = 0
         self.dropped = 0
+        self.rearm(fresh=fresh)
+
+    def rearm(self, fresh: bool = False) -> None:
+        """(Re)open the log and clear :attr:`disabled`: an IO error
+        disables the bus for the rest of one task only."""
         self.disabled = False
         try:
             self.create(fresh=fresh)
@@ -173,9 +185,13 @@ class ClauseFeed:
     means a sibling already finished that exact round for this scope
     and the record can be replayed through the re-validation path —
     and :meth:`publish` after recording each successful round.
+    Opening a feed re-arms a bus that an IO error disabled during an
+    earlier task.
     """
 
     def __init__(self, bus: ClauseBus, scope: str):
+        if bus.disabled:
+            bus.rearm()
         self.bus = bus
         self.scope = scope
         self.imported = 0

@@ -218,16 +218,30 @@ class RecordLog:
         return False
 
     def create(self, fresh: bool = False, header: bool = True) -> List[dict]:
-        """Open the log: empty it first when ``fresh``, catch up, and
-        write the header when no intact record exists yet.  Returns the
-        records caught up on."""
+        """Open the log: empty it first when ``fresh``, catch up,
+        truncate a dead writer's torn tail, and write the header when
+        no intact record exists yet.  Returns the records caught up
+        on."""
         with self._mutex, _flock(self.path):
             if fresh:
                 open(self.path, "wb").close()
             records = self._catch_up()
+            self._truncate_tail()
             if header and self.offset == 0:
                 self.write(self.header())
             return records
+
+    def _truncate_tail(self) -> None:
+        """Under the flock, every byte past :attr:`offset` is a torn
+        write whose writer died: cut it off."""
+        try:
+            if os.stat(self.path).st_size <= self.offset:
+                return  # the common case: opened without writing
+        except FileNotFoundError:
+            return
+        with open(self.path, "r+b") as handle:
+            handle.truncate(self.offset)
+            os.fsync(handle.fileno())
 
     def _forget(self) -> None:
         self.offset = 0

@@ -63,3 +63,41 @@ def test_history_records_the_avrora_escape_unit(bench_trend):
         "beam_prunes": 9000,
     }
     assert "avrora_escape" not in bench_trend.history_entry({})
+
+
+def test_clean_bus_record_count_is_gated(bench_trend):
+    def entry(bus_records):
+        clean = {} if bus_records is None else {"bus_records": bus_records}
+        return bench_trend.history_entry(
+            {"scheduler": {"clean": dict(clean, bus_bytes=1000)}}
+        )
+
+    assert entry(42)["scheduler"]["bus_records"] == 42
+    # The last entry that has the count is the baseline; entries
+    # without it are skipped.
+    history = [entry(42), entry(None), {"micro_seconds": {}}]
+    assert bench_trend.count_changes(history, entry(42)) == []
+    assert bench_trend.count_changes(history, entry(43)) == [
+        ("scheduler.bus_records", 42, 43)
+    ]
+    assert bench_trend.count_changes([entry(None)], entry(43)) == []
+    assert bench_trend.count_changes(history, entry(None)) == []
+
+
+def test_gate_fails_on_a_changed_count(bench_trend, tmp_path):
+    import json
+
+    history = tmp_path / "history.jsonl"
+    history.write_text(
+        json.dumps({"scheduler": {"bus_records": 42}}) + "\n"
+    )
+    report = tmp_path / "report.json"
+    argv = ["--report", str(report), "--history", str(history), "--gate"]
+    report.write_text(
+        json.dumps({"scheduler": {"clean": {"bus_records": 42}}})
+    )
+    assert bench_trend.main(argv) == 0
+    report.write_text(
+        json.dumps({"scheduler": {"clean": {"bus_records": 41}}})
+    )
+    assert bench_trend.main(argv) == 1

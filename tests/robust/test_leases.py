@@ -298,6 +298,26 @@ class TestClauseBus:
         assert bus.dropped == 1
         assert bus.fetch("s", 1, ["q"]) is None
 
+    def test_io_error_disables_the_bus_for_one_task(self, tmp_path):
+        # A worker reuses one handle across tasks: an IO error mutes it
+        # for the rest of the task, and the next task's feed re-arms it.
+        path = tmp_path / "run.bus"
+        bus = ClauseBus(str(path), worker="w1")
+        first = ClauseFeed(bus, scope="t1")
+        path.unlink()
+        path.mkdir()  # the log turns unreadable mid-task
+        first.publish({"round": 1, "queries": ["q"], "outcome": "ok"})
+        assert bus.disabled and first.published == 0
+        assert first.drain(1, ["q"]) is None
+        path.rmdir()
+        second = ClauseFeed(bus, scope="t2")
+        assert not bus.disabled
+        second.publish({"round": 1, "queries": ["q"], "outcome": "ok"})
+        assert second.published == 1
+        assert [r["type"] for r in load_bus_records(str(path))] == [
+            "bus_header", "round",
+        ]
+
     def test_feed_publishes_only_ok_rounds(self, tmp_path):
         path = str(tmp_path / "run.bus")
         feed = ClauseFeed(ClauseBus(path, worker="w1"), scope="t1")

@@ -221,6 +221,17 @@ class TestCorruptionMatrix:
         assert log.seen(path) == [1, 2, 3]
         assert set(_statuses(path)) == {RECORD}
 
+    def test_torn_tail_truncated_by_open(self, log, tmp_path):
+        # A reopen that writes nothing (a journal that only replays its
+        # rounds, say) still cuts off a dead writer's torn tail.
+        path = _path(tmp_path)
+        log.append(log.open(path), 1)
+        with open(path, "a") as raw:
+            raw.write('{"type": "round", "ro')  # killed mid-write
+        log.open(path)
+        assert set(_statuses(path)) == {RECORD}
+        assert log.seen(path) == [1]
+
     def test_interior_corruption_raises(self, log, tmp_path):
         path = _path(tmp_path)
         handle = log.open(path)
